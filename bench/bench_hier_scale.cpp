@@ -22,7 +22,7 @@
 #include "bench_common.hpp"
 #include "hier/scenario.hpp"
 #include "hier/solver.hpp"
-#include "te/parallel_solver.hpp"
+#include "te/thread_pool.hpp"
 
 using namespace dsdn;
 

@@ -15,7 +15,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/event_queue.hpp"
-#include "te/parallel_solver.hpp"
+#include "te/thread_pool.hpp"
 #include "dataplane/label.hpp"
 #include "dataplane/sublabel.hpp"
 #include "te/ksp.hpp"

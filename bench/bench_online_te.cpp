@@ -23,7 +23,7 @@
 
 #include "bench_common.hpp"
 #include "sim/online.hpp"
-#include "te/parallel_solver.hpp"
+#include "te/thread_pool.hpp"
 
 using namespace dsdn;
 
@@ -129,7 +129,7 @@ int main() {
                 "vs every", "regret", "max epoch", "bad s", "violations");
 
     std::size_t every_recomputes = 0;
-    double hybrid_regret = 0.0, hybrid_fraction = 0.0, hybrid_bad_s = 0.0;
+    double hybrid_regret = 0.0, hybrid_fraction = 0.0;
     for (const auto& p : policies) {
       sim::OnlineTeOptions opt = base_options(epochs);
       opt.policy = p.policy;
@@ -173,7 +173,6 @@ int main() {
       if (p.policy.kind == te::RecomputeTrigger::kHybrid) {
         hybrid_regret = r.regret_fraction;
         hybrid_fraction = fraction;
-        hybrid_bad_s = r.bad_seconds;
       }
     }
 
@@ -193,7 +192,6 @@ int main() {
 
     const std::string prefix = std::string(tc.name) + "_";
     run.out().metric(prefix + "hybrid_recompute_fraction", hybrid_fraction);
-    run.out().metric(prefix + "hybrid_bad_seconds", hybrid_bad_s);
   }
 
   std::printf("\n%s: hybrid policy %s the <= 10%% regret / <= 25%% "

@@ -45,6 +45,13 @@ DSDN_BENCH_JSON="${ARTIFACT_DIR}" \
 DSDN_BENCH_JSON="${ARTIFACT_DIR}" \
   ./build/bench/bench_sr_trade >/dev/null
 python3 scripts/validate_bench_json.py "${ARTIFACT_DIR}"/BENCH_*.json
+# Negative check: a key repeated inside one JSON object must fail the
+# validator (json.load alone would keep the last value silently).
+if python3 scripts/validate_bench_json.py \
+    scripts/bench_fixtures/BENCH_duplicate_key.json >/dev/null; then
+  echo "validate_bench_json.py accepted a duplicated key" >&2
+  exit 1
+fi
 
 echo "==> tier-1: perf regression (warn-only) -- fig13 cold medians vs baseline"
 DSDN_BENCH_JSON="${ARTIFACT_DIR}" ./build/bench/bench_fig13_cores >/dev/null
@@ -93,9 +100,11 @@ echo "==> tier-1: ASan dataplane -- batched pipeline + sublabel bounds"
 cmake --build build-asan -j "${JOBS}" --target test_batch_pipeline test_sublabel
 (cd build-asan && ctest --output-on-failure -R '^(test_batch_pipeline|test_sublabel)$')
 
-echo "==> tier-1: ASan differential check -- incremental TE + batch solver parity"
-cmake --build build-asan -j "${JOBS}" --target test_incremental test_batch_solver
-(cd build-asan && ctest --output-on-failure -R '^(test_incremental|test_batch_solver)$')
+echo "==> tier-1: ASan differential check -- incremental TE + solver vs oracle parity"
+cmake --build build-asan -j "${JOBS}" --target test_incremental test_te \
+  test_batch_solver
+(cd build-asan && ctest --output-on-failure \
+  -R '^(test_incremental|test_te|test_batch_solver)$')
 
 echo "==> tier-1: scenario seed swarm (build/) -- 32 seeds, invariants each event"
 # Bounded ~60 s: 28 Abilene histories (24 events each, lossy flooding)

@@ -8,6 +8,8 @@ Implements the small JSON-Schema subset the schema file uses (type,
 required, properties, additionalProperties, items, minimum, $ref into
 #/definitions) so tier-1 needs nothing beyond the python3 stdlib.
 Exits non-zero and prints one line per violation if any file fails.
+A key repeated inside one JSON object is a violation too (json.load
+would otherwise keep the last value and hide the first).
 
 With --baseline, each validated file whose "name" matches the baseline
 artifact is additionally compared on the listed lower-is-better metrics:
@@ -30,6 +32,24 @@ TYPE_CHECKS = {
     "boolean": lambda v: isinstance(v, bool),
     "null": lambda v: v is None,
 }
+
+
+class DuplicateKeyError(ValueError):
+    pass
+
+
+def reject_duplicate_keys(pairs):
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise DuplicateKeyError(f"duplicate key '{key}'")
+        obj[key] = value
+    return obj
+
+
+def load_json(path):
+    with open(path) as f:
+        return json.load(f, object_pairs_hook=reject_duplicate_keys)
 
 
 def resolve_ref(schema, root):
@@ -113,21 +133,22 @@ def main():
     ap.add_argument("files", nargs="+")
     args = ap.parse_args()
 
-    with open(args.schema) as f:
-        schema = json.load(f)
+    schema = load_json(args.schema)
 
     baseline = None
     if args.baseline:
-        with open(args.baseline) as f:
-            baseline = json.load(f)
+        try:
+            baseline = load_json(args.baseline)
+        except DuplicateKeyError as e:
+            print(f"FAIL {args.baseline}: {e}")
+            return 1
     regress_metrics = [m for m in args.regress.split(",") if m]
 
     failed = False
     for name in args.files:
         try:
-            with open(name) as f:
-                doc = json.load(f)
-        except (OSError, json.JSONDecodeError) as e:
+            doc = load_json(name)
+        except (OSError, json.JSONDecodeError, DuplicateKeyError) as e:
             print(f"FAIL {name}: {e}")
             failed = True
             continue

@@ -11,7 +11,7 @@
 #include <utility>
 
 #include "obs/metrics.hpp"
-#include "te/parallel_solver.hpp"
+#include "te/thread_pool.hpp"
 
 namespace dsdn::hier {
 namespace {

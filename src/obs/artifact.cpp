@@ -1,6 +1,7 @@
 #include "obs/artifact.hpp"
 
 #include <cstdio>
+#include <stdexcept>
 
 #include "obs/export.hpp"
 #include "obs/json.hpp"
@@ -13,35 +14,57 @@ std::span<const double> artifact_percentiles() {
   return kPs;
 }
 
+namespace {
+
+// One section's keys must stay unique: the JSON object it becomes would
+// silently keep only one of two values under a repeated key.
+template <typename Entries, typename KeyOf>
+void require_new_key(const Entries& entries, KeyOf key_of,
+                     const char* section, const std::string& key) {
+  for (const auto& e : entries) {
+    if (key_of(e) == key) {
+      throw std::logic_error("RunArtifact: duplicate " +
+                             std::string(section) + " key '" + key + "'");
+    }
+  }
+}
+
+}  // namespace
+
 RunArtifact::RunArtifact(std::string name) : name_(std::move(name)) {}
 
+void RunArtifact::add_param(const std::string& key, ParamValue v) {
+  require_new_key(params_, [](const auto& p) -> auto& { return p.first; },
+                  "param", key);
+  params_.emplace_back(key, std::move(v));
+}
+
 void RunArtifact::param(const std::string& key, double v) {
-  params_.emplace_back(key, ParamValue{ParamValue::Kind::kDouble, v, 0, 0,
-                                       {}, false});
+  add_param(key, ParamValue{ParamValue::Kind::kDouble, v, 0, 0, {}, false});
 }
 void RunArtifact::param(const std::string& key, std::int64_t v) {
-  params_.emplace_back(key,
-                       ParamValue{ParamValue::Kind::kInt, 0, v, 0, {}, false});
+  add_param(key, ParamValue{ParamValue::Kind::kInt, 0, v, 0, {}, false});
 }
 void RunArtifact::param(const std::string& key, std::uint64_t v) {
-  params_.emplace_back(key,
-                       ParamValue{ParamValue::Kind::kUint, 0, 0, v, {}, false});
+  add_param(key, ParamValue{ParamValue::Kind::kUint, 0, 0, v, {}, false});
 }
 void RunArtifact::param(const std::string& key, const std::string& v) {
-  params_.emplace_back(
-      key, ParamValue{ParamValue::Kind::kString, 0, 0, 0, v, false});
+  add_param(key, ParamValue{ParamValue::Kind::kString, 0, 0, 0, v, false});
 }
 void RunArtifact::param(const std::string& key, bool v) {
-  params_.emplace_back(key,
-                       ParamValue{ParamValue::Kind::kBool, 0, 0, 0, {}, v});
+  add_param(key, ParamValue{ParamValue::Kind::kBool, 0, 0, 0, {}, v});
 }
 
 void RunArtifact::metric(const std::string& key, double v) {
+  require_new_key(metrics_, [](const auto& m) -> auto& { return m.first; },
+                  "metric", key);
   metrics_.emplace_back(key, v);
 }
 
 void RunArtifact::series(const std::string& key,
                          const metrics::EmpiricalDistribution& d) {
+  require_new_key(series_, [](const Series& s) -> auto& { return s.key; },
+                  "series", key);
   Series s;
   s.key = key;
   s.n = d.size();

@@ -21,6 +21,9 @@ namespace dsdn::obs {
 // distribution via EmpiricalDistribution::percentiles()).
 std::span<const double> artifact_percentiles();
 
+// Keys are unique within params, within metrics and within series: a
+// repeated key throws std::logic_error (JSON readers would otherwise keep
+// one of the two values without a word).
 class RunArtifact {
  public:
   explicit RunArtifact(std::string name);
@@ -71,6 +74,8 @@ class RunArtifact {
     double mean = 0, min = 0, max = 0;
     std::vector<double> percentile_values;  // parallel to artifact_percentiles()
   };
+
+  void add_param(const std::string& key, ParamValue v);
 
   std::string name_;
   std::vector<std::pair<std::string, ParamValue>> params_;

@@ -18,15 +18,14 @@ namespace {
 // retransmit budget (the flooder gives up on this hop).
 double sample_retx_delay(const LossyFloodModel& loss, util::Rng& rng) {
   if (loss.loss_prob <= 0) return 0.0;
+  const FloodRetryPolicy& retry = loss.retry;
   double delay = 0.0;
   for (int attempt = 0;; ++attempt) {
     if (!rng.bernoulli(loss.loss_prob)) return delay;
-    if (attempt >= loss.max_retransmits)
+    if (attempt >= retry.max_retransmits)
       return std::numeric_limits<double>::infinity();
-    double backoff =
-        loss.retx_base_s * std::pow(loss.retx_multiplier, attempt);
-    if (loss.retx_jitter > 0)
-      backoff *= 1.0 + rng.uniform(0.0, loss.retx_jitter);
+    double backoff = retry.base_s * std::pow(retry.multiplier, attempt);
+    if (retry.jitter > 0) backoff *= 1.0 + rng.uniform(0.0, retry.jitter);
     delay += backoff;
   }
 }

@@ -16,6 +16,7 @@
 #include "csdn/controller.hpp"
 #include "metrics/calibration.hpp"
 #include "metrics/distribution.hpp"
+#include "sim/faulty_bus.hpp"
 #include "te/incremental.hpp"
 #include "te/solver.hpp"
 
@@ -23,15 +24,12 @@ namespace dsdn::sim {
 
 // Statistical counterpart of the emulation's FaultyBus + FloodRetryPolicy
 // (sim/faulty_bus.hpp): each hop-level NSU transfer is lost with
-// loss_prob; a lost transfer is retried after exponential backoff with
-// jitter, up to max_retransmits, then abandoned (the hop contributes +inf
-// and flooding must route around it).
+// loss_prob; a lost transfer is retried with the same backoff policy the
+// emulated flooder uses, then abandoned (the hop contributes +inf and
+// flooding must route around it).
 struct LossyFloodModel {
   double loss_prob = 0.0;  // 0 = lossless (the baseline Fig 8/9 setting)
-  double retx_base_s = 0.050;
-  double retx_multiplier = 2.0;
-  double retx_jitter = 0.2;
-  int max_retransmits = 5;
+  FloodRetryPolicy retry;
 };
 
 // Earliest NSU arrival time at every router when `origin` floods after

@@ -26,19 +26,6 @@
 
 namespace dsdn::sim {
 
-// Bounded retransmission for NSU transfers over one link. The flooder
-// treats a transmit attempt as failed when no intact copy reaches the
-// far end (gRPC would surface this as a deadline-exceeded RPC) and
-// retries with exponential backoff plus jitter, up to max_retransmits,
-// after which it gives up on that link (the NSU can still arrive via
-// other flooding paths, or with the next originated sequence number).
-struct FloodRetryPolicy {
-  double base_s = 0.050;
-  double multiplier = 2.0;
-  double jitter = 0.2;  // fraction of the backoff added uniformly
-  int max_retransmits = 5;
-};
-
 struct EmulationConfig {
   te::SolverOptions solver_options;
   // Fixed per-hop NSU processing delay added to link propagation.

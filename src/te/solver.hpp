@@ -10,16 +10,30 @@
 // Algorithm: strict priority across classes; within a class, progressive
 // filling ("waterfill") in rounds. Each round every still-active demand
 // (1) finds its current preferred path -- the shortest path with residual
-// capacity, via Dijkstra or the PathCache -- this step is data-parallel
-// across demands; then (2) a *serialized* allocation step grants each
-// demand a fair increment along its path, updating residual capacity.
-// Demands freeze when satisfied or when no capacity-feasible path remains
-// (they may be partially allocated). Decreasing available capacity makes
-// demands churn through more rounds, matching the paper's observation
-// that TE runtime grows as allocation gets harder (§5.3).
+// capacity -- this step is data-parallel across demands; then (2) a
+// *serialized* allocation step grants each demand a fair increment along
+// its path, updating residual capacity. Demands freeze when satisfied or
+// when no capacity-feasible path remains (they may be partially
+// allocated). Decreasing available capacity makes demands churn through
+// more rounds, matching the paper's observation that TE runtime grows as
+// allocation gets harder (§5.3).
 //
 // The serialized step (2) is what limits parallel speedup ("our current
 // TE algorithm serializes on the final step in flow assignment", Fig 13).
+//
+// Structure of arrays (the GATE direction, PAPERS.md): the path search
+// runs one batched multi-destination SSSP per (source, residual-rank)
+// bucket over flat CSR arrays instead of one heap-allocating Dijkstra per
+// demand, reuses a demand's path across rounds and classes while it
+// provably stays the shortest, and accumulates grants into interned
+// (path_id, rate) runs. The result is bit-identical to one Dijkstra per
+// demand per round (te/dijkstra.cpp tie-breaks, std::map<links, double>
+// path order); te/solver.cpp gives the argument, and
+// tests/oracle/legacy_solver.hpp keeps the original shape as the
+// differential reference.
+//
+// With a PathCache the search step calls PathCache::get per demand (the
+// cache's primary table already amortizes the Dijkstra).
 //
 // Determinism: the solver is a pure function of (topology, demands,
 // options). Every dSDN controller running it on an identical NodeStateDB
@@ -33,29 +47,8 @@
 namespace dsdn::te {
 
 class ThreadPool;
-class BatchSolverBackend;
-
-// Which waterfill implementation Solver::solve runs. Both compute the
-// same algorithm; without a PathCache they produce bit-identical
-// Solutions (asserted in tests/test_batch_solver.cpp), so the backend is
-// a pure performance choice and every router in a fleet may pick either.
-enum class SolverBackend {
-  // One heap-allocating Dijkstra per demand per round (the paper's
-  // original shape; kept as the differential-testing reference).
-  kLegacy,
-  // Structure-of-arrays batch solver (te::BatchSolver): demands bucketed
-  // by source, one multi-destination SSSP per bucket per round over flat
-  // arrays, interned path IDs. The GATE direction (PAPERS.md).
-  kBatch,
-};
 
 struct SolverOptions {
-  // Waterfill implementation. Batch is the default: same results,
-  // order-of-magnitude faster cold solves on large topologies.
-  SolverBackend backend = SolverBackend::kBatch;
-  // Optional accelerator backend for the batch solver's path-search
-  // kernels. Null = the process-wide CPU backend. Ignored by kLegacy.
-  BatchSolverBackend* batch_backend = nullptr;
   // Threads for the path-search step. 1 = fully serial.
   std::size_t num_threads = 1;
   // Optional externally owned thread pool, reused across solves so the
@@ -123,10 +116,9 @@ class Solver {
 
 namespace detail {
 
-// Round math shared by the legacy and batch solvers. Bit-parity between
-// the two backends depends on both computing quantum and the sliver
-// threshold with the exact same expressions, so they live here instead
-// of being duplicated.
+// Round math of the waterfill. The differential oracle under tests/
+// calls these too: bit-parity depends on both computing quantum and the
+// sliver threshold with the exact same expressions.
 
 // Per-round grant quantum for a class whose largest remaining demand is
 // max_remaining.

@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "obs/metrics.hpp"
+#include "oracle/legacy_solver.hpp"
 #include "sim/scenario.hpp"
-#include "te/batch_solver.hpp"
 #include "te/incremental.hpp"
 #include "te/path_cache.hpp"
 #include "te/solver.hpp"
@@ -14,12 +14,11 @@
 namespace dsdn::te {
 namespace {
 
-using metrics::PriorityClass;
+using oracle::LegacySolver;
 
-// Exact (bitwise) solution equality: the batch backend's contract is
-// that cacheless solves reproduce the legacy waterfill to the last ULP,
-// so every router may pick either backend without breaking the
-// consensus-free property.
+// Exact (bitwise) solution equality: te::Solver's contract is that it
+// reproduces the one-Dijkstra-per-demand waterfill of the test oracle to
+// the last ULP, at any thread count.
 void expect_bit_identical(const Solution& a, const Solution& b,
                           const std::string& context) {
   ASSERT_EQ(a.allocations.size(), b.allocations.size()) << context;
@@ -38,19 +37,26 @@ void expect_bit_identical(const Solution& a, const Solution& b,
   }
 }
 
-SolverOptions backend_options(SolverBackend backend,
-                              std::size_t num_threads = 1) {
+SolverOptions with_threads(std::size_t num_threads) {
   SolverOptions opt;
-  opt.backend = backend;
   opt.num_threads = num_threads;
   return opt;
 }
 
+// The B4-like graph the perfbench fleet and the B4 swarm legs solve,
+// with a gravity matrix dense enough to contend.
+traffic::TrafficMatrix b4_demands(std::uint64_t seed) {
+  traffic::GravityParams gp;
+  gp.seed = seed;
+  gp.pair_fraction = 0.15;
+  gp.target_max_utilization = 0.9;
+  return traffic::generate_gravity(topo::make_b4_like(), gp);
+}
+
 TEST(BatchSolver, BitIdenticalToLegacyAcrossSeedsAndThreadCounts) {
-  // The satellite-4 determinism sweep: for 16 gravity seeds on two real
-  // topologies, the batch solver at pool sizes 1/4/8 must reproduce the
-  // legacy solver bit-for-bit (the batched SSSP must introduce no
-  // ordering nondeterminism).
+  // The determinism sweep: for 16 gravity seeds on two real topologies,
+  // the solver at pool sizes 1/4/8 must reproduce the oracle bit-for-bit
+  // (the batched SSSP must introduce no ordering nondeterminism).
   const topo::Topology topos[] = {topo::make_abilene(), topo::make_geant()};
   for (const auto& t : topos) {
     for (std::uint64_t seed = 0; seed < 16; ++seed) {
@@ -58,13 +64,10 @@ TEST(BatchSolver, BitIdenticalToLegacyAcrossSeedsAndThreadCounts) {
       gp.seed = seed;
       gp.target_max_utilization = 0.9;  // some contention every seed
       const auto tm = traffic::generate_gravity(t, gp);
-      const auto reference =
-          Solver(backend_options(SolverBackend::kLegacy)).solve(t, tm);
+      const auto reference = LegacySolver().solve(t, tm);
       for (std::size_t threads : {std::size_t{1}, std::size_t{4},
                                   std::size_t{8}}) {
-        const auto batch =
-            Solver(backend_options(SolverBackend::kBatch, threads))
-                .solve(t, tm);
+        const auto batch = Solver(with_threads(threads)).solve(t, tm);
         expect_bit_identical(reference, batch,
                              "seed " + std::to_string(seed) + " threads " +
                                  std::to_string(threads) + " nodes " +
@@ -72,11 +75,23 @@ TEST(BatchSolver, BitIdenticalToLegacyAcrossSeedsAndThreadCounts) {
       }
     }
   }
+  // B4-like: a few seeds at pool sizes 1 and 4.
+  const auto b4 = topo::make_b4_like();
+  for (std::uint64_t seed = 0; seed < 3; ++seed) {
+    const auto tm = b4_demands(seed);
+    const auto reference = LegacySolver().solve(b4, tm);
+    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      expect_bit_identical(reference,
+                           Solver(with_threads(threads)).solve(b4, tm),
+                           "b4 seed " + std::to_string(seed) + " threads " +
+                               std::to_string(threads));
+    }
+  }
 }
 
 TEST(BatchSolver, BitIdenticalUnderOverloadAndDownLinks) {
   // Heavy contention drives the drained-path re-search and no-path
-  // freeze codepaths in both backends; a down fiber exercises the CSR
+  // freeze codepaths in both solvers; a down fiber exercises the CSR
   // up-link filtering. Parity must survive all of it.
   auto t = topo::make_geant();
   t.set_duplex_up(t.links().front().id, false);
@@ -85,10 +100,8 @@ TEST(BatchSolver, BitIdenticalUnderOverloadAndDownLinks) {
   gp.target_max_utilization = 2.0;  // well past capacity
   const auto tm = traffic::generate_gravity(t, gp);
   SolveStats legacy_stats, batch_stats;
-  const auto legacy = Solver(backend_options(SolverBackend::kLegacy))
-                          .solve(t, tm, &legacy_stats);
-  const auto batch = Solver(backend_options(SolverBackend::kBatch, 4))
-                         .solve(t, tm, &batch_stats);
+  const auto legacy = LegacySolver().solve(t, tm, &legacy_stats);
+  const auto batch = Solver(with_threads(4)).solve(t, tm, &batch_stats);
   expect_bit_identical(legacy, batch, "overload");
   EXPECT_EQ(legacy_stats.rounds, batch_stats.rounds);
   // Validated cross-round path reuse makes batch searches a subset of the
@@ -105,103 +118,82 @@ TEST(BatchSolver, BitIdenticalWithResidualOverride) {
   const auto tm = traffic::generate_gravity(t);
   std::vector<double> residual(t.num_links());
   for (const auto& l : t.links()) residual[l.id] = l.capacity_gbps * 0.5;
-  const auto legacy = Solver(backend_options(SolverBackend::kLegacy))
-                          .solve(t, tm, nullptr, &residual);
-  const auto batch = Solver(backend_options(SolverBackend::kBatch))
-                         .solve(t, tm, nullptr, &residual);
+  const auto legacy = LegacySolver().solve(t, tm, nullptr, &residual);
+  const auto batch = Solver().solve(t, tm, nullptr, &residual);
   expect_bit_identical(legacy, batch, "residual override");
 }
 
 TEST(BatchSolver, CachedSolvesMatchCachedLegacy) {
-  // With a PathCache both backends delegate the search step to the
+  // With a PathCache both solvers delegate the search step to the
   // cache per demand, so parity holds there too (independent cache
   // instances keep the memoization histories identical).
   const auto t = topo::make_geant();
   const auto tm = traffic::generate_gravity(t);
   PathCache cache_a(t), cache_b(t);
-  SolverOptions legacy = backend_options(SolverBackend::kLegacy);
+  SolverOptions legacy;
   legacy.cache = &cache_a;
-  SolverOptions batch = backend_options(SolverBackend::kBatch);
+  SolverOptions batch;
   batch.cache = &cache_b;
-  expect_bit_identical(Solver(legacy).solve(t, tm),
+  expect_bit_identical(LegacySolver(legacy).solve(t, tm),
                        Solver(batch).solve(t, tm), "cached");
   EXPECT_GT(cache_b.hits(), 0u);
 }
 
 TEST(BatchSolver, DiffCheckerParityOverScenarioEras) {
-  // Walk the PR 5 scenario harness's deterministic cut/repair schedule,
-  // solving each topology era with the batch backend and validating it
-  // through the DiffChecker against a legacy reference solve -- zero
+  // Walk the scenario harness's deterministic cut/repair schedule,
+  // solving each topology era with te::Solver and validating it through
+  // the DiffChecker against an oracle reference solve -- zero
   // violations, and (cacheless) exact parity era by era.
-  const auto base = topo::make_abilene();
-  const auto tm = traffic::generate_gravity(base);
-  for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
-    sim::Scenario scenario(base, tm, sim::ScenarioOptions{}, seed);
-    auto era = base;
-    std::size_t eras_checked = 0;
-    for (const auto& ev : scenario.schedule()) {
-      if (ev.kind == sim::ScenarioEventKind::kFiberCut) {
-        for (topo::LinkId l : ev.fibers) era.set_duplex_up(l, false);
-      } else if (ev.kind == sim::ScenarioEventKind::kFiberRepair) {
-        for (topo::LinkId l : ev.fibers) era.set_duplex_up(l, true);
-      } else {
-        continue;
-      }
-      const auto batch =
-          Solver(backend_options(SolverBackend::kBatch, 4)).solve(era, tm);
-      const auto report = DiffChecker::check(
-          era, tm, batch, backend_options(SolverBackend::kLegacy));
-      EXPECT_TRUE(report.ok())
-          << "seed " << seed << " era " << eras_checked << ": "
-          << (report.violations.empty() ? "" : report.violations.front());
-      expect_bit_identical(
-          Solver(backend_options(SolverBackend::kLegacy)).solve(era, tm),
-          batch, "era " + std::to_string(eras_checked));
-      ++eras_checked;
-    }
-    EXPECT_GT(eras_checked, 0u) << "seed " << seed;
-  }
-}
-
-TEST(BatchSolver, AcceleratorBackendSeamIsHonored) {
-  // A custom backend must receive every batched SSSP call; delegating to
-  // the CPU reference keeps results bit-identical, which is exactly the
-  // contract a GPU backend has to meet.
-  class CountingBackend final : public BatchSolverBackend {
-   public:
-    const char* name() const override { return "counting"; }
-    void sssp(const BatchGraph& g, const std::vector<double>& residual,
-              double min_residual, std::uint32_t src,
-              const std::uint32_t* targets, std::size_t num_targets,
-              SsspWorkspace& ws) const override {
-      ++calls;
-      targets_seen += num_targets;
-      cpu_batch_backend().sssp(g, residual, min_residual, src, targets,
-                               num_targets, ws);
-    }
-    mutable std::size_t calls = 0;
-    mutable std::size_t targets_seen = 0;
+  struct Case {
+    topo::Topology base;
+    traffic::TrafficMatrix tm;
+    std::vector<std::uint64_t> seeds;
+    std::size_t n_events;
   };
-
-  const auto t = topo::make_geant();
-  const auto tm = traffic::generate_gravity(t);
-  CountingBackend counting;
-  SolverOptions opt = backend_options(SolverBackend::kBatch);
-  opt.batch_backend = &counting;
-  const auto via_stub = Solver(opt).solve(t, tm);
-  EXPECT_GT(counting.calls, 0u);
-  // Bucketing is what makes it a *batch* backend: strictly fewer SSSP
-  // runs than demand searches.
-  EXPECT_GT(counting.targets_seen, counting.calls);
-  expect_bit_identical(
-      Solver(backend_options(SolverBackend::kBatch)).solve(t, tm), via_stub,
-      "backend stub");
+  const auto abilene = topo::make_abilene();
+  const Case cases[] = {
+      {abilene, traffic::generate_gravity(abilene), {1, 2, 3},
+       sim::ScenarioOptions{}.n_events},
+      {topo::make_b4_like(), b4_demands(0), {1, 2}, 10},
+  };
+  for (const Case& c : cases) {
+    for (std::uint64_t seed : c.seeds) {
+      sim::ScenarioOptions opts;
+      opts.n_events = c.n_events;
+      sim::Scenario scenario(c.base, c.tm, opts, seed);
+      auto era = c.base;
+      std::size_t eras_checked = 0;
+      for (const auto& ev : scenario.schedule()) {
+        if (ev.kind == sim::ScenarioEventKind::kFiberCut) {
+          for (topo::LinkId l : ev.fibers) era.set_duplex_up(l, false);
+        } else if (ev.kind == sim::ScenarioEventKind::kFiberRepair) {
+          for (topo::LinkId l : ev.fibers) era.set_duplex_up(l, true);
+        } else {
+          continue;
+        }
+        const std::string context = std::to_string(c.base.num_nodes()) +
+                                    " nodes seed " + std::to_string(seed) +
+                                    " era " + std::to_string(eras_checked);
+        const auto batch = Solver(with_threads(4)).solve(era, c.tm);
+        const auto reference = LegacySolver().solve(era, c.tm);
+        const auto report =
+            DiffChecker::check_against(era, c.tm, batch, reference, {});
+        EXPECT_TRUE(report.ok())
+            << context << ": "
+            << (report.violations.empty() ? "" : report.violations.front());
+        expect_bit_identical(reference, batch, context);
+        ++eras_checked;
+      }
+      EXPECT_GT(eras_checked, 0u) << "seed " << seed;
+    }
+  }
 }
 
 TEST(BatchSolver, EmitsBatchCounters) {
   const auto t = topo::make_abilene();
   const auto tm = traffic::generate_gravity(t);
-  Solver(backend_options(SolverBackend::kBatch)).solve(t, tm);
+  const auto before = obs::Registry::global().snapshot();
+  Solver().solve(t, tm);
   const auto snap = obs::Registry::global().snapshot();
   const auto counter = [&](const char* name) {
     const auto it = snap.counters.find(name);
@@ -211,13 +203,23 @@ TEST(BatchSolver, EmitsBatchCounters) {
   EXPECT_GT(counter("te.batch.sssp_batches"), 0u);
   EXPECT_GT(counter("te.batch.interned_paths"), 0u);
   EXPECT_GT(counter("te.solver.solves"), 0u);  // shared counters still move
+  // Bucketing is what makes the search *batched*: strictly fewer SSSP
+  // runs than demand searches in this solve.
+  const auto delta = [&](const char* name) {
+    const auto it = before.counters.find(name);
+    return counter(name) -
+           (it == before.counters.end() ? std::uint64_t{0} : it->second);
+  };
+  EXPECT_GT(delta("te.batch.sssp_batches"), 0u);
+  EXPECT_GT(delta("te.batch.batched_searches"),
+            delta("te.batch.sssp_batches"));
 }
 
 TEST(BatchSolver, SsspWorkspaceReuseAcrossEpochs) {
   // The workspace's epoch stamping must isolate runs: a second SSSP on
   // the same scratch must not see the first run's dist/pred state.
   const auto t = topo::make_abilene();
-  BatchSolver solver{SolverOptions{}};
+  const Solver solver;
   const auto tm1 = traffic::generate_gravity(t);
   traffic::GravityParams gp;
   gp.seed = 99;

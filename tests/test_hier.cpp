@@ -6,7 +6,7 @@
 #include <set>
 
 #include "hier/solver.hpp"
-#include "te/parallel_solver.hpp"
+#include "te/thread_pool.hpp"
 #include "topo/synthetic.hpp"
 #include "topo/zoo.hpp"
 #include "traffic/gravity.hpp"

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <thread>
 
 #include "obs/artifact.hpp"
@@ -376,6 +377,24 @@ TEST(ObsArtifact, WritesFileNamedAfterRun) {
   EXPECT_TRUE(std::filesystem::exists(path));
   EXPECT_GT(std::filesystem::file_size(path), 0u);
   std::filesystem::remove_all(dir);
+}
+
+TEST(ObsArtifact, RepeatedKeyThrows) {
+  // A repeated key would serialize as a JSON object with two equal keys,
+  // and readers keep one value without a word: reject it at the writer.
+  metrics::EmpiricalDistribution d;
+  d.add(1.0);
+  obs::RunArtifact a("unit");
+  a.param("nodes", std::uint64_t{99});
+  a.metric("speedup", 2.0);
+  a.series("lat_s", d);
+  EXPECT_THROW(a.param("nodes", 1.5), std::logic_error);
+  EXPECT_THROW(a.param("nodes", std::string("x")), std::logic_error);
+  EXPECT_THROW(a.metric("speedup", 2.0), std::logic_error);
+  EXPECT_THROW(a.series("lat_s", d), std::logic_error);
+  // Sections are separate objects: one key may appear once in each.
+  EXPECT_NO_THROW(a.metric("nodes", 1.0));
+  EXPECT_NO_THROW(a.series("speedup", d));
 }
 
 TEST(ObsArtifact, AttachedRegistryIsEmbedded) {

@@ -16,9 +16,9 @@
 
 #include "core/introspection.hpp"
 #include "sim/event_queue.hpp"
-#include "te/parallel_solver.hpp"
 #include "te/path_cache.hpp"
 #include "te/solver.hpp"
+#include "te/thread_pool.hpp"
 #include "topo/topology.hpp"
 #include "topo/zoo.hpp"
 #include "traffic/gravity.hpp"

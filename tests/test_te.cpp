@@ -1,10 +1,11 @@
 #include <gtest/gtest.h>
 
+#include "oracle/legacy_solver.hpp"
 #include "te/dijkstra.hpp"
 #include "te/ksp.hpp"
-#include "te/parallel_solver.hpp"
 #include "te/path_cache.hpp"
 #include "te/solver.hpp"
+#include "te/thread_pool.hpp"
 #include "topo/builder.hpp"
 #include "topo/synthetic.hpp"
 #include "topo/zoo.hpp"
@@ -420,6 +421,15 @@ TEST(Solver, RoundCapFreezesAreCounted) {
   EXPECT_EQ(ok.frozen_demands, 0u);
 }
 
+// The freeze and accounting rules below hold for te::Solver and for the
+// one-Dijkstra-per-demand oracle it must match bit-for-bit.
+Solution solve_with(bool use_oracle, const SolverOptions& opt,
+                    const topo::Topology& t, const traffic::TrafficMatrix& tm,
+                    SolveStats* stats) {
+  return use_oracle ? oracle::LegacySolver(opt).solve(t, tm, stats)
+                    : Solver(opt).solve(t, tm, stats);
+}
+
 TEST(Solver, NoPathFreezesAreCounted) {
   // Starvation accounting: a demand that exhausts the network's capacity
   // is frozen because no feasible path remains -- a different cause than
@@ -427,11 +437,10 @@ TEST(Solver, NoPathFreezesAreCounted) {
   const auto t = topo::make_line(2, 10.0);  // one 10G bottleneck
   traffic::TrafficMatrix tm;
   tm.add({0, 1, PriorityClass::kHigh, 20.0});
-  for (SolverBackend backend : {SolverBackend::kLegacy, SolverBackend::kBatch}) {
+  for (bool use_oracle : {true, false}) {
     SolverOptions opt;
-    opt.backend = backend;
     SolveStats stats;
-    const auto sol = Solver(opt).solve(t, tm, &stats);
+    const auto sol = solve_with(use_oracle, opt, t, tm, &stats);
     EXPECT_NEAR(sol.allocations[0].allocated_gbps, 10.0, 1e-6);
     EXPECT_EQ(stats.frozen_no_path, 1u);
     EXPECT_EQ(stats.frozen_round_cap, 0u);
@@ -449,12 +458,11 @@ TEST(Solver, DrainedRoundPathIsResearchedNotSpun) {
   traffic::TrafficMatrix tm;
   tm.add({0, 1, PriorityClass::kHigh, 10.0});
   tm.add({0, 1, PriorityClass::kHigh, 10.0});
-  for (SolverBackend backend : {SolverBackend::kLegacy, SolverBackend::kBatch}) {
+  for (bool use_oracle : {true, false}) {
     SolverOptions opt;
-    opt.backend = backend;
     opt.quantum_gbps = 10.0;
     SolveStats stats;
-    const auto sol = Solver(opt).solve(t, tm, &stats);
+    const auto sol = solve_with(use_oracle, opt, t, tm, &stats);
     EXPECT_EQ(stats.rounds, 1u);  // no wasted spin rounds
     EXPECT_EQ(stats.frozen_no_path, 1u);
     EXPECT_EQ(stats.frozen_round_cap, 0u);
@@ -471,12 +479,11 @@ TEST(Solver, DrainedRoundPathResearchFindsAlternate) {
   traffic::TrafficMatrix tm;
   tm.add({0, 3, PriorityClass::kHigh, 10.0});
   tm.add({0, 3, PriorityClass::kHigh, 10.0});
-  for (SolverBackend backend : {SolverBackend::kLegacy, SolverBackend::kBatch}) {
+  for (bool use_oracle : {true, false}) {
     SolverOptions opt;
-    opt.backend = backend;
     opt.quantum_gbps = 10.0;
     SolveStats stats;
-    const auto sol = Solver(opt).solve(t, tm, &stats);
+    const auto sol = solve_with(use_oracle, opt, t, tm, &stats);
     EXPECT_EQ(stats.rounds, 1u);
     EXPECT_EQ(stats.frozen_demands, 0u);
     EXPECT_NEAR(sol.allocations[0].allocated_gbps, 10.0, 1e-6);
@@ -494,28 +501,29 @@ TEST(Solver, PooledAndUnpooledStatsAgree) {
   traffic::TrafficMatrix tm;
   tm.add({0, 3, PriorityClass::kHigh, 5.0});
 
-  SolverOptions unpooled;
-  unpooled.backend = SolverBackend::kLegacy;
-  unpooled.num_threads = 4;
-  SolveStats a;
-  Solver(unpooled).solve(t, tm, &a);
+  for (bool use_oracle : {true, false}) {
+    SolverOptions unpooled;
+    unpooled.num_threads = 4;
+    SolveStats a;
+    solve_with(use_oracle, unpooled, t, tm, &a);
 
-  ThreadPool shared(4);
-  SolverOptions pooled = unpooled;
-  pooled.pool = &shared;
-  SolveStats b;
-  Solver(pooled).solve(t, tm, &b);
+    ThreadPool shared(4);
+    SolverOptions pooled = unpooled;
+    pooled.pool = &shared;
+    SolveStats b;
+    solve_with(use_oracle, pooled, t, tm, &b);
 
-  EXPECT_EQ(a.rounds, b.rounds);
-  EXPECT_EQ(a.path_searches, b.path_searches);
-  EXPECT_EQ(a.frozen_demands, b.frozen_demands);
-  EXPECT_GT(a.wall_time_s, 0.0);
-  EXPECT_GT(b.wall_time_s, 0.0);
-  // A trivial solve is microseconds; spawning 3 workers is what used to
-  // dominate the unpooled number. Generous bound so the assertion only
-  // trips on accounting regressions, not scheduler noise.
-  EXPECT_LT(a.wall_time_s, 0.25);
-  EXPECT_LT(b.wall_time_s, 0.25);
+    EXPECT_EQ(a.rounds, b.rounds);
+    EXPECT_EQ(a.path_searches, b.path_searches);
+    EXPECT_EQ(a.frozen_demands, b.frozen_demands);
+    EXPECT_GT(a.wall_time_s, 0.0);
+    EXPECT_GT(b.wall_time_s, 0.0);
+    // A trivial solve is microseconds; spawning 3 workers is what used to
+    // dominate the unpooled number. Generous bound so the assertion only
+    // trips on accounting regressions, not scheduler noise.
+    EXPECT_LT(a.wall_time_s, 0.25);
+    EXPECT_LT(b.wall_time_s, 0.25);
+  }
 }
 
 }  // namespace
@@ -524,7 +532,7 @@ TEST(Solver, PooledAndUnpooledStatsAgree) {
 #include <atomic>
 #include <thread>
 
-#include "te/parallel_solver.hpp"
+#include "te/thread_pool.hpp"
 
 namespace dsdn::te {
 namespace {
