@@ -49,7 +49,8 @@ class Bus {
 namespace topics {
 inline constexpr const char* kNsuReceived = "nsu.received";     // NodeStateUpdate
 inline constexpr const char* kStateChanged = "state.changed";   // uint64 digest
-inline constexpr const char* kSolutionReady = "solution.ready"; // te::Solution
+// Payload: std::shared_ptr<const te::Solution> (adopters share theirs).
+inline constexpr const char* kSolutionReady = "solution.ready";
 }  // namespace topics
 
 }  // namespace dsdn::core

@@ -1,11 +1,19 @@
 #include "core/controller.hpp"
 
+#include <bit>
 #include <stdexcept>
 
 #include "dataplane/snapshot.hpp"
 #include "obs/trace.hpp"
+#include "util/rng.hpp"
 
 namespace dsdn::core {
+
+bool SolveInput::operator==(const SolveInput& other) const {
+  return hash == other.hash && links == other.links &&
+         demands.demands() == other.demands.demands() &&
+         algorithms == other.algorithms && options == other.options;
+}
 
 Controller::Controller(const ControllerConfig& config,
                        const topo::Topology& configured)
@@ -114,6 +122,7 @@ Controller::RecomputeResult Controller::recompute() {
   DSDN_TRACE_SPAN("ctrl.recompute");
   RecomputeResult result;
   PathingResult pr;
+  solution_shareable_ = shares_solves();
   if (incremental_) {
     // Warm-start path: consume the view delta accumulated since the
     // previous recompute and reuse every allocation it did not touch.
@@ -130,12 +139,78 @@ Controller::RecomputeResult Controller::recompute() {
     pr = pathing.compute(state_);
   }
   result.stats = pr.stats;
-  result.own_allocations = pr.own.size();
-  last_solve_ = pr.stats;
   last_incremental_ = result.incremental;
   last_solution_ = pr.solution;
+  adopted_.reset();
+  install(pr.solution, pr.own, result);
+  bus_.publish_as(topics::kSolutionReady,
+                  std::make_shared<const te::Solution>(last_solution_));
+  return result;
+}
+
+std::optional<SolveInput> Controller::solve_input() const {
+  if (!shares_solves()) return std::nullopt;
+  const auto mix = [](std::uint64_t h, std::uint64_t v) {
+    return util::splitmix64(h ^ v);
+  };
+  SolveInput in;
+  in.options = config_.solver_options;
+  std::uint64_t h = 0x50177E5ULL;
+  const topo::Topology& view = state_.view();
+  in.links.reserve(view.num_links());
+  for (const topo::Link& l : view.links()) {
+    in.links.push_back({l.up, l.capacity_gbps, l.igp_metric});
+    h = mix(h, std::bit_cast<std::uint64_t>(l.capacity_gbps) ^ l.up);
+    h = mix(h, std::bit_cast<std::uint64_t>(l.igp_metric));
+  }
+  in.demands = state_.demands();
+  for (const traffic::Demand& d : in.demands.demands()) {
+    h = mix(h, (std::uint64_t{d.src} << 40) ^ (std::uint64_t{d.dst} << 8) ^
+                   static_cast<std::uint64_t>(d.priority));
+    h = mix(h, std::bit_cast<std::uint64_t>(d.rate_gbps));
+  }
+  if (config_.mixed_fleet) {
+    // What the MixedAlgorithmSolver's lookup answers: own config for
+    // self, the advertised TLV (or the stock fallback) for everyone else.
+    in.algorithms = algorithm_map_from_state(state_);
+    in.algorithms[config_.self] = config_.algorithm;
+    for (PathingAlgorithm a : in.algorithms) {
+      h = mix(h, static_cast<std::uint64_t>(a));
+    }
+  }
+  in.hash = h;
+  return in;
+}
+
+Controller::RecomputeResult Controller::adopt(
+    std::shared_ptr<const te::Solution> solution,
+    const te::SolveStats& stats) {
+  DSDN_TRACE_SPAN("ctrl.adopt");
+  if (!shares_solves())
+    throw std::logic_error("adopt: controller does not share solves");
+  if (!solution) throw std::invalid_argument("adopt: null solution");
+  RecomputeResult result;
+  result.stats = stats;
+  std::vector<te::Allocation> own;
+  for (const te::Allocation* a : solution->originating_at(config_.self)) {
+    own.push_back(*a);
+  }
+  solution_shareable_ = true;
+  last_incremental_ = {};
+  last_solution_ = te::Solution{};  // release the self-solved copy
+  adopted_ = std::move(solution);
+  install(*adopted_, own, result);
+  bus_.publish_as(topics::kSolutionReady, adopted_);
+  return result;
+}
+
+void Controller::install(const te::Solution& solution,
+                         const std::vector<te::Allocation>& own,
+                         RecomputeResult& result) {
+  result.own_allocations = own.size();
+  last_solve_ = result.stats;
   programmer_.program_prefixes(state_, hw_);
-  result.encap = programmer_.program_encap(pr.own, hw_);
+  result.encap = programmer_.program_encap(own, hw_);
   ++recomputes_;
   encap_totals_.routes_installed += result.encap.routes_installed;
   encap_totals_.routes_too_deep += result.encap.routes_too_deep;
@@ -148,15 +223,13 @@ Controller::RecomputeResult Controller::recompute() {
   }
   if (config_.program_bypasses) {
     result.bypasses = programmer_.program_bypasses(
-        state_.view(), pr.solution.residual_capacity(state_.view()),
+        state_.view(), solution.residual_capacity(state_.view()),
         config_.bypass_strategy, config_.bypass_k, hw_);
   }
   // All tables for this epoch are installed; publish them as one atomic
   // snapshot swap. Batches already in flight finish on the old epoch.
   if (fib_hub_) fib_hub_->publish_router(config_.self, hw_);
   if (recompute_policy_) recompute_policy_->note_recompute(state_.demands());
-  bus_.publish_as(topics::kSolutionReady, pr.solution);
-  return result;
 }
 
 void Controller::attach_fib_hub(dataplane::SnapshotHub* hub) {
@@ -192,6 +265,7 @@ std::vector<FloodDirective> Controller::advertise_database() const {
 void Controller::set_solve_api(std::unique_ptr<SolveApi> api) {
   if (!api) throw std::invalid_argument("set_solve_api: null");
   solve_api_ = std::move(api);
+  custom_solve_api_ = true;
   // A replacement Solve API has unknown semantics; the warm-start cache
   // of the built-in solver cannot speak for it.
   incremental_.reset();

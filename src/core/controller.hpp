@@ -11,6 +11,7 @@
 // communication details, mirroring the gRPC + link-local design.
 
 #include <memory>
+#include <optional>
 
 #include "core/bus.hpp"
 #include "core/local_state.hpp"
@@ -65,6 +66,30 @@ struct ControllerConfig {
   bool program_sr = false;
 };
 
+// Everything a stock recompute's solve reads. The consensus-free
+// property (§3.1) is that equal inputs give equal solutions, so the
+// emulation solves each distinct input once and hands the result to
+// every controller whose input compares equal (Controller::adopt).
+struct SolveInput {
+  struct LinkState {
+    bool up = false;
+    double capacity_gbps = 0.0;
+    double igp_metric = 0.0;
+
+    bool operator==(const LinkState&) const = default;
+  };
+  std::vector<LinkState> links;                 // every view link, by id
+  traffic::TrafficMatrix demands;               // StateDb::demands()
+  std::vector<PathingAlgorithm> algorithms;     // mixed fleets only
+  te::SolverOptions options;
+  // Full-precision hash of links, demands and algorithms (bit patterns
+  // of every double): a cheap bucket key, never a substitute for ==.
+  std::uint64_t hash = 0;
+
+  // Hash first, then an exact field-by-field comparison.
+  bool operator==(const SolveInput& other) const;
+};
+
 // An NSU to transmit and the local out-links to flood it on.
 struct FloodDirective {
   NodeStateUpdate nsu;
@@ -106,6 +131,30 @@ class Controller {
   // prefixes, encap routes, and (once) static transit entries.
   RecomputeResult recompute();
 
+  // True iff recompute() runs the stock Solve API cold: no
+  // set_solve_api() replacement and no warm-start state. Only such a
+  // controller's solution is a pure function of solve_input().
+  bool shares_solves() const { return !custom_solve_api_ && !incremental_; }
+
+  // True iff last_solution() is the stock cold solve of the input its
+  // last recompute() or adopt() saw -- i.e. that recompute shared
+  // solves. A warm solution stays warm after incremental TE is toggled
+  // off, until the next recompute.
+  bool solution_shareable() const { return solution_shareable_; }
+
+  // The input the next recompute() would solve; nullopt unless
+  // shares_solves(). Builds the demand matrix once.
+  std::optional<SolveInput> solve_input() const;
+
+  // recompute() with the solve done elsewhere: installs `solution`, which
+  // a peer solved from a solve_input() equal to ours, and programs this
+  // router's own rows, bypasses, SR FIB and snapshot exactly as
+  // recompute() would. Holds the pointer instead of copying the
+  // solution; `stats` are the solving peer's. Throws std::logic_error
+  // unless shares_solves().
+  RecomputeResult adopt(std::shared_ptr<const te::Solution> solution,
+                        const te::SolveStats& stats);
+
   const StateDb& state() const { return state_; }
 
   // Programming accounting accumulated over every recompute() in this
@@ -117,9 +166,10 @@ class Controller {
   }
   std::size_t recomputes() const { return recomputes_; }
 
-  // Stats of the most recent recompute's solve (zero before the first),
-  // surfaced by collect_status so solver health (e.g. round-cap-frozen
-  // demands) is visible in "show dsdn status".
+  // Stats of the most recent recompute's solve (zero before the first;
+  // the solving peer's after adopt()), surfaced by collect_status so
+  // solver health (e.g. round-cap-frozen demands) is visible in "show
+  // dsdn status".
   const te::SolveStats& last_solve_stats() const { return last_solve_; }
   const te::IncrementalStats& last_incremental_stats() const {
     return last_incremental_;
@@ -130,10 +180,13 @@ class Controller {
     return incremental_.get();
   }
 
-  // The solution installed by the most recent recompute() (empty before
-  // the first). Invariant checkers diff this against a cold full solve
-  // of the same view to bound warm-start drift across whole histories.
-  const te::Solution& last_solution() const { return last_solution_; }
+  // The solution installed by the most recent recompute() or adopt()
+  // (empty before the first). Invariant checkers diff this against a
+  // cold full solve of the same view to bound warm-start drift across
+  // whole histories.
+  const te::Solution& last_solution() const {
+    return adopted_ ? *adopted_ : last_solution_;
+  }
 
   // Runtime toggle for warm-start TE (scenario harness: mid-history
   // on/off flips). Turning it off discards the warm state; turning it on
@@ -208,12 +261,17 @@ class Controller {
 
  private:
   std::vector<topo::LinkId> flood_links(topo::LinkId except_arrival) const;
+  // The programming half shared by recompute() and adopt().
+  void install(const te::Solution& solution,
+               const std::vector<te::Allocation>& own,
+               RecomputeResult& result);
 
   ControllerConfig config_;
   Bus bus_;
   StateDb state_;
   LocalState local_;
   std::unique_ptr<SolveApi> solve_api_;
+  bool custom_solve_api_ = false;
   std::unique_ptr<te::IncrementalSolver> incremental_;
   std::unique_ptr<te::RecomputePolicy> recompute_policy_;
   Programmer programmer_;
@@ -224,7 +282,11 @@ class Controller {
   std::size_t recomputes_ = 0;
   te::SolveStats last_solve_;
   te::IncrementalStats last_incremental_;
+  // Self-solved: the by-value copy. Adopted: the shared solution, and
+  // last_solution_ is empty.
   te::Solution last_solution_;
+  std::shared_ptr<const te::Solution> adopted_;
+  bool solution_shareable_ = false;
 };
 
 }  // namespace dsdn::core

@@ -204,11 +204,49 @@ void DsdnEmulation::run_to_quiescence() {
 }
 
 void DsdnEmulation::recompute_dirty() {
-  DSDN_TRACE_SPAN("emu.recompute");
+  std::vector<topo::NodeId> nodes;
   for (topo::NodeId n = 0; n < topo_.num_nodes(); ++n) {
     if (!dirty_[n]) continue;
-    controllers_[n]->recompute();
+    nodes.push_back(n);
     dirty_[n] = 0;
+  }
+  recompute(nodes);
+}
+
+void DsdnEmulation::recompute(const std::vector<topo::NodeId>& nodes) {
+  DSDN_TRACE_SPAN("emu.recompute");
+  // Solve once per agreed view (§3.1: identical NodeStateDBs yield
+  // identical solutions). The first controller with a given solver input
+  // solves it; every later one with an equal input adopts that solution
+  // and only programs its own rows. Controllers that do not share solves
+  // (warm-start state, a custom Solve API) always solve for themselves.
+  struct Group {
+    core::SolveInput input;
+    topo::NodeId solver;
+    std::shared_ptr<const te::Solution> solution;  // made on first adopt
+  };
+  std::vector<Group> groups;
+  for (topo::NodeId n : nodes) {
+    core::Controller& c = *controllers_[n];
+    std::optional<core::SolveInput> input = c.solve_input();
+    if (!input) {
+      c.recompute();
+      continue;
+    }
+    const auto g =
+        std::find_if(groups.begin(), groups.end(),
+                     [&](const Group& x) { return x.input == *input; });
+    if (g == groups.end()) {
+      c.recompute();
+      groups.push_back({std::move(*input), n, nullptr});
+      continue;
+    }
+    const core::Controller& solver = *controllers_[g->solver];
+    if (!g->solution) {
+      g->solution =
+          std::make_shared<const te::Solution>(solver.last_solution());
+    }
+    c.adopt(g->solution, solver.last_solve_stats());
   }
 }
 
@@ -474,13 +512,15 @@ void DsdnEmulation::measurement_epoch() {
   // bit; the TE it is running is stale but fleet-consistent, and a later
   // epoch (or any topology event, which recomputes unconditionally)
   // picks it up.
+  std::vector<topo::NodeId> nodes;
   for (topo::NodeId n = 0; n < topo_.num_nodes(); ++n) {
     const bool due = controllers_[n]->demand_epoch_due();
     if (dirty_[n] && due) {
-      controllers_[n]->recompute();
+      nodes.push_back(n);
       dirty_[n] = 0;
     }
   }
+  recompute(nodes);
 }
 
 void DsdnEmulation::enable_fault_injection(

@@ -231,6 +231,8 @@ class DsdnEmulation final : public dataplane::DataplaneProvider {
   void deliver(const core::NodeStateUpdate& nsu, topo::LinkId via);
   void run_to_quiescence();
   void recompute_dirty();
+  // Recomputes `nodes` in order, one solve per distinct solve_input().
+  void recompute(const std::vector<topo::NodeId>& nodes);
   const core::TelemetrySource& telemetry_for(topo::NodeId node) const;
   // Does n's current estimator advertisement differ from its last
   // originated NSU demand section (beyond FP wobble)?

@@ -289,6 +289,16 @@ void check_capacity_conservation(const DsdnEmulation& emu,
   }
 }
 
+// The matrix a solution actually solved: one allocation per input
+// demand, same order. Under a deferring recompute policy the live view
+// can be ahead of the installed solution.
+traffic::TrafficMatrix solved_demands(const te::Solution& solution) {
+  std::vector<traffic::Demand> rows;
+  rows.reserve(solution.allocations.size());
+  for (const te::Allocation& a : solution.allocations) rows.push_back(a.demand);
+  return traffic::TrafficMatrix(std::move(rows));
+}
+
 // One router's history-evolved solution vs a from-scratch full solve of
 // its current view (the eventual-convergence contract of §3.1, extended
 // across arbitrary recompute histories by te::DiffChecker).
@@ -301,20 +311,10 @@ void check_cold_solve_parity(const DsdnEmulation& emu,
   te::DiffChecker::Options dc;
   dc.throughput_tolerance = options.throughput_tolerance;
   dc.capacity_slack_gbps = options.capacity_slack_gbps;
-  traffic::TrafficMatrix solved_tm;
-  if (options.parity_against_solved_demands) {
-    // Rebuild the matrix this solution actually solved (one allocation
-    // per input demand, same order): under a deferring recompute policy
-    // the live view can be ahead of the installed solution.
-    std::vector<traffic::Demand> rows;
-    rows.reserve(c.last_solution().allocations.size());
-    for (const te::Allocation& a : c.last_solution().allocations) {
-      rows.push_back(a.demand);
-    }
-    solved_tm = traffic::TrafficMatrix(std::move(rows));
-  }
-  const traffic::TrafficMatrix& parity_tm =
-      options.parity_against_solved_demands ? solved_tm : c.state().demands();
+  const traffic::TrafficMatrix parity_tm =
+      options.parity_against_solved_demands
+          ? solved_demands(c.last_solution())
+          : c.state().demands();
   te::DiffChecker::Report report;
   if (!emu.config().algorithms.empty()) {
     // Mixed-algorithm fleet: the stock solver cannot reproduce the
@@ -341,15 +341,69 @@ void check_cold_solve_parity(const DsdnEmulation& emu,
   }
 }
 
+// Consensus audit (§3.1). The emulation solves once per agreed view and
+// the other routers adopt that solution, so "every router installed the
+// same solution" holds by construction. Two routers that share solves
+// are therefore re-solved independently -- a fresh stock solver over
+// their own StateDb -- and must match bit for bit. The picks move with
+// the message count, so a swarm audits different routers event by event.
+// A router whose installed solution came from warm-start state or a
+// custom Solve API is skipped.
+void check_consensus_audit(const DsdnEmulation& emu,
+                           const InvariantOptions& options,
+                           InvariantReport& out) {
+  const std::size_t n = emu.network().num_nodes();
+  if (n == 0) return;
+  const topo::NodeId last = static_cast<topo::NodeId>(n - 1);
+  const auto moving = static_cast<topo::NodeId>(emu.messages_delivered() % n);
+  const topo::NodeId picks[] = {last, moving};
+  for (std::size_t i = 0; i < 2; ++i) {
+    const topo::NodeId r = picks[i];
+    if (i == 1 && r == last) continue;  // audited already
+    const core::Controller& c = emu.controller(r);
+    if (!c.solution_shareable()) continue;
+    ++out.checks_run;
+    const traffic::TrafficMatrix tm =
+        options.parity_against_solved_demands
+            ? solved_demands(c.last_solution())
+            : c.state().demands();
+    te::Solution fresh;
+    if (!emu.config().algorithms.empty()) {
+      std::vector<core::PathingAlgorithm> algos =
+          core::algorithm_map_from_state(c.state());
+      algos[r] = emu.config().algorithms[r];
+      const core::MixedAlgorithmSolver solver(
+          emu.config().solver_options,
+          [&algos](topo::NodeId node) { return algos[node]; });
+      fresh = solver.solve(c.state().view(), tm, nullptr);
+    } else {
+      fresh = te::Solver(emu.config().solver_options)
+                  .solve(c.state().view(), tm);
+    }
+    if (c.last_solution() != fresh) {
+      out.violations.push_back(
+          "consensus audit: router " + std::to_string(r) +
+          "'s installed solution differs from an independent solve of its "
+          "own view");
+    }
+  }
+}
+
 }  // namespace
 
 InvariantReport check_invariants(const DsdnEmulation& emu,
                                  const InvariantOptions& options) {
   InvariantReport out;
   check_converged_views(emu, out);
+  const bool converged = out.ok();
+  // Each audited router is checked against its own view, so the audit
+  // stays meaningful on diverged views.
+  if (options.check_solution_parity) {
+    check_consensus_audit(emu, options, out);
+  }
   // A diverged network fails fast: the remaining checkers assume an
   // agreed view (e.g. parity reads controller 0 as a representative).
-  if (!out.ok()) return out;
+  if (!converged) return out;
   check_fib_walk(emu, out);
   check_no_blackholes(emu, out);
   check_capacity_conservation(emu, options, out);

@@ -25,8 +25,13 @@
 //      links.
 //   5. Cold-solve parity: one router's history-evolved solution is
 //      diffed (te::DiffChecker) against a from-scratch full solve of its
-//      current view -- extending PR 4's per-solve check across whole
-//      recompute histories.
+//      current view -- extending the per-solve incremental check across
+//      whole recompute histories.
+//   6. Consensus audit (with parity): two routers that share solves are
+//      re-solved from their own StateDb by a fresh stock solver and must
+//      match their installed solution bit for bit -- the emulation
+//      solves once per agreed view, so equal solutions across routers
+//      no longer test the consensus-free property by themselves.
 
 #include <string>
 #include <vector>
@@ -42,8 +47,8 @@ struct InvariantOptions {
   // the cold full solve (DiffChecker's bound; warm-start drift is capped
   // by the incremental solver's fallback threshold).
   double throughput_tolerance = 0.05;
-  // The parity check costs one full solve per call; scenario sweeps over
-  // big topologies can disable it.
+  // The parity check and the consensus audit cost up to three full
+  // solves per call; scenario sweeps over big topologies can disable them.
   bool check_solution_parity = true;
   // Closed-loop mode: a recompute policy may legitimately leave the
   // installed solution behind the current demand view (bounded staleness

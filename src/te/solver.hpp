@@ -71,6 +71,8 @@ struct SolverOptions {
   std::size_t max_rounds = 400;
   // Allocation below this is treated as zero (Gbps).
   double epsilon_gbps = 1e-9;
+
+  bool operator==(const SolverOptions&) const = default;
 };
 
 struct SolveStats {

@@ -62,6 +62,8 @@ struct Allocation {
   // Rate actually admitted (<= demand.rate_gbps when capacity is short).
   double allocated_gbps = 0.0;
   std::vector<WeightedPath> paths;
+
+  bool operator==(const Allocation&) const = default;
 };
 
 // The full TE solution: one Allocation per input demand, same order.
@@ -80,6 +82,9 @@ struct Solution {
   // Allocations whose demand originates at `src` -- the subset a dSDN
   // headend programs (§3.2: "selects the subset of paths that start at R").
   std::vector<const Allocation*> originating_at(topo::NodeId src) const;
+
+  // Bit-for-bit: equal demands, rates, paths and weights.
+  bool operator==(const Solution&) const = default;
 };
 
 }  // namespace dsdn::te

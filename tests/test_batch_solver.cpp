@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "obs/metrics.hpp"
 #include "oracle/legacy_solver.hpp"
 #include "sim/scenario.hpp"
@@ -121,6 +123,59 @@ TEST(BatchSolver, BitIdenticalWithResidualOverride) {
   const auto legacy = LegacySolver().solve(t, tm, nullptr, &residual);
   const auto batch = Solver().solve(t, tm, nullptr, &residual);
   expect_bit_identical(legacy, batch, "residual override");
+}
+
+std::uint64_t global_counter(const char* name) {
+  const auto snap = obs::Registry::global().snapshot();
+  const auto it = snap.counters.find(name);
+  return it == snap.counters.end() ? std::uint64_t{0} : it->second;
+}
+
+TEST(BatchSolver, ReusedPathBelowNewSliverThresholdIsSearchedAgain) {
+  // Validated path reuse must also check that the cached path still
+  // clears the *new* sliver threshold. A high-class demand leaves the
+  // short path s->m->d with a sliver of residual on s->m; the next class
+  // carries that path over with a much larger grant quantum, so the
+  // sliver sits above zero but below the new threshold. The carried path
+  // must be searched again at the start of the round. Were it reused,
+  // the grant step's bottleneck recheck would catch it and search then
+  // -- same solution, but a grant recheck that a lone demand per class
+  // never needs. So besides oracle parity, the solve must record no
+  // grant recheck.
+  for (const double sliver : {0.002, 0.005, 0.008}) {
+    // Large enough that the big demand is satisfied (remaining below
+    // 1e-3 of its rate) while its threshold still exceeds the sliver:
+    // the oracle never touches s->m at all.
+    for (const double big : {1e5, 4e5}) {
+      topo::Topology t;
+      for (const char* name : {"s", "m", "d", "x"}) t.add_node(name);
+      const topo::LinkId short_first = t.add_link(0, 1, 10.0, 1.0);
+      t.add_link(1, 2, 1e6, 1.0);
+      t.add_link(0, 3, 1e6, 2.0);
+      t.add_link(3, 2, 1e6, 2.0);
+      traffic::TrafficMatrix tm;
+      tm.add({0, 2, metrics::PriorityClass::kHigh, 10.0 - sliver});
+      tm.add({0, 2, metrics::PriorityClass::kIntermediate, big});
+      const std::string context = "sliver " + std::to_string(sliver) +
+                                  " big " + std::to_string(big);
+      const Solution legacy = LegacySolver().solve(t, tm);
+      const std::uint64_t rechecks = global_counter("te.batch.grant_rechecks");
+      const Solution batch = Solver().solve(t, tm);
+      EXPECT_EQ(global_counter("te.batch.grant_rechecks"), rechecks)
+          << context;
+      expect_bit_identical(legacy, batch, context);
+      // The case has teeth only if the high class left a sliver and the
+      // oracle kept the big demand off it.
+      ASSERT_GT(10.0 - legacy.allocations[0].allocated_gbps, 0.0) << context;
+      ASSERT_FALSE(legacy.allocations[1].paths.empty()) << context;
+      for (const WeightedPath& wp : legacy.allocations[1].paths) {
+        EXPECT_EQ(std::count(wp.path.links.begin(), wp.path.links.end(),
+                             short_first),
+                  0)
+            << context;
+      }
+    }
+  }
 }
 
 TEST(BatchSolver, CachedSolvesMatchCachedLegacy) {

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "core/upgrade.hpp"
 #include "sim/emulation.hpp"
+#include "sim/invariants.hpp"
+#include "topo/builder.hpp"
 #include "topo/synthetic.hpp"
 #include "topo/zoo.hpp"
 #include "traffic/gravity.hpp"
@@ -79,18 +84,284 @@ TEST(Emulation, FiberCutReconvergesAndRestoresDelivery) {
   EXPECT_EQ(r2.outcome, ForwardOutcome::kDelivered);
 }
 
+// What router r must have installed: a fresh stock solver over its own
+// StateDb (for a mixed fleet, the MixedAlgorithmSolver over the TLV
+// algorithm map with r's own configured algorithm).
+te::Solution independent_solve(const DsdnEmulation& emu, topo::NodeId r) {
+  const core::StateDb& state = emu.controller(r).state();
+  if (emu.config().algorithms.empty()) {
+    return te::Solver(emu.config().solver_options)
+        .solve(state.view(), state.demands());
+  }
+  std::vector<core::PathingAlgorithm> algos =
+      core::algorithm_map_from_state(state);
+  algos[r] = emu.config().algorithms[r];
+  const core::MixedAlgorithmSolver solver(
+      emu.config().solver_options,
+      [&algos](topo::NodeId n) { return algos[n]; });
+  return solver.solve(state.view(), state.demands(), nullptr);
+}
+
+void expect_every_router_solved_its_own_view(const DsdnEmulation& emu,
+                                             const std::string& when) {
+  for (topo::NodeId r = 0; r < emu.network().num_nodes(); ++r) {
+    EXPECT_TRUE(emu.controller(r).last_solution() ==
+                independent_solve(emu, r))
+        << when << ": router " << r;
+  }
+  for (const std::string& v : check_invariants(emu).violations) {
+    EXPECT_EQ(v.rfind("consensus audit", 0), std::string::npos)
+        << when << ": " << v;
+  }
+}
+
+// A fiber whose cut keeps the network strongly connected.
+topo::LinkId cuttable_fiber(const topo::Topology& topo) {
+  for (const topo::Link& l : topo.links()) {
+    topo::Topology cut = topo;
+    cut.set_duplex_up(l.id, false);
+    if (topo::is_strongly_connected(cut)) return l.id;
+  }
+  return topo::kInvalidLink;
+}
+
+std::vector<core::PathingAlgorithm> sr_fleet(std::size_t num_nodes) {
+  std::vector<core::PathingAlgorithm> algos(num_nodes);
+  for (std::size_t n = 0; n < num_nodes; ++n) {
+    algos[n] = n % 3 == 1   ? core::PathingAlgorithm::kMaxMinFairTe
+               : n % 7 == 5 ? core::PathingAlgorithm::kShortestPath
+                            : core::PathingAlgorithm::kSegmentRouting;
+  }
+  return algos;
+}
+
+// The consensus-free property (§3.1) with solve sharing in play: after
+// bootstrap, a cut and a repair, every router's installed solution is
+// what a fresh solver computes from its own StateDb. Then one router is
+// handed a view that differs from its peers' only in one demand rate
+// (and, for a mixed fleet, only in one advertised algorithm): it must
+// not adopt the peers' solution. That router is the last one, which the
+// consensus audit in check_invariants always re-solves.
+void run_consensus_check(topo::Topology topo,
+                         std::vector<core::PathingAlgorithm> algorithms,
+                         bool odd_router_out = true) {
+  traffic::GravityParams gp;
+  gp.target_max_utilization = 0.5;
+  auto tm = traffic::generate_gravity(topo, gp);
+  EmulationConfig cfg;
+  cfg.algorithms = std::move(algorithms);
+  DsdnEmulation emu(topo, std::move(tm), cfg);
+  emu.bootstrap();
+  ASSERT_TRUE(emu.views_converged());
+  expect_every_router_solved_its_own_view(emu, "bootstrap");
+
+  const topo::LinkId fiber = cuttable_fiber(emu.network());
+  ASSERT_NE(fiber, topo::kInvalidLink);
+  emu.fail_fiber(fiber);
+  ASSERT_TRUE(emu.views_converged());
+  expect_every_router_solved_its_own_view(emu, "cut");
+  emu.repair_fiber(fiber);
+  ASSERT_TRUE(emu.views_converged());
+  expect_every_router_solved_its_own_view(emu, "repair");
+  if (!odd_router_out) return;
+
+  // An origin with demand rows that is neither the odd router out nor an
+  // endpoint of the fiber cut below (so it never re-originates).
+  const auto n = static_cast<topo::NodeId>(emu.network().num_nodes());
+  const topo::NodeId odd = n - 1;
+  const topo::Link& cut = emu.network().link(fiber);
+  topo::NodeId origin = 0;
+  while (origin == odd || origin == cut.src || origin == cut.dst ||
+         emu.controller(0).state().latest(origin)->demands.empty()) {
+    ++origin;
+  }
+  const core::NodeStateUpdate truth =
+      *emu.controller(0).state().latest(origin);
+
+  core::NodeStateUpdate rates = truth;
+  ++rates.seq;
+  rates.demands.at(0).rate_gbps *= 2.0;
+  emu.mutable_controller(odd).handle_nsu(rates, topo::kInvalidLink);
+  emu.fail_fiber(fiber);
+  expect_every_router_solved_its_own_view(emu, "odd demand rate");
+
+  if (emu.config().algorithms.empty()) return;
+  // Same demands as everyone else again, but another algorithm for
+  // `origin`: only the algorithm map tells this view apart.
+  core::NodeStateUpdate algo = truth;
+  algo.seq = rates.seq + 1;
+  const auto was = core::parse_algorithm_tlv(truth);
+  ASSERT_TRUE(was.has_value());
+  for (core::OpaqueTlv& tlv : algo.tlvs) {
+    if (tlv.type != core::kAlgorithmTlvType) continue;
+    tlv = core::make_algorithm_tlv(
+        *was == core::PathingAlgorithm::kMaxMinFairTe
+            ? core::PathingAlgorithm::kShortestPath
+            : core::PathingAlgorithm::kMaxMinFairTe);
+  }
+  emu.mutable_controller(odd).handle_nsu(algo, topo::kInvalidLink);
+  emu.repair_fiber(fiber);
+  expect_every_router_solved_its_own_view(emu, "odd algorithm");
+}
+
 TEST(Emulation, ConsensusFreeIdenticalSolutions) {
-  // With converged views, every controller computes the identical
-  // full-network TE solution (§3.1): verify via per-controller digests of
-  // their own installed routes against a central solve.
+  run_consensus_check(topo::make_abilene(), {});
+}
+
+TEST(Emulation, ConsensusFreeIdenticalSolutionsB4) {
+  // Bootstrap, cut and repair only: each stage re-solves 99 routers.
+  run_consensus_check(topo::make_b4_like(), {}, /*odd_router_out=*/false);
+}
+
+TEST(Emulation, ConsensusFreeIdenticalSolutionsMixedFleet) {
+  const topo::Topology topo = topo::make_abilene();
+  run_consensus_check(topo, sr_fleet(topo.num_nodes()));
+}
+
+// --- Solve sharing: which controllers adopt, and what they keep ---
+
+TEST(Emulation, SolveSharingAdoptersHoldOneSolution) {
   auto emu = make_emulation(topo::make_abilene());
   emu.bootstrap();
-  const auto& topo = emu.network();
-  // Every router's StateDb must agree with every other's.
-  const auto digest0 = emu.controller(0).state().digest();
-  for (topo::NodeId n = 1; n < topo.num_nodes(); ++n) {
-    EXPECT_EQ(emu.controller(n).state().digest(), digest0);
+  const te::Solution& solved = emu.controller(0).last_solution();
+  const te::Solution& shared = emu.controller(1).last_solution();
+  EXPECT_NE(&solved, &shared);  // the solver keeps its own copy
+  EXPECT_TRUE(solved == shared);
+  for (topo::NodeId n = 1; n < emu.network().num_nodes(); ++n) {
+    EXPECT_EQ(&emu.controller(n).last_solution(), &shared) << n;
+    EXPECT_EQ(emu.controller(n).recomputes(), 1u) << n;
+    EXPECT_TRUE(emu.controller(n).solution_shareable()) << n;
   }
+}
+
+TEST(Emulation, SolveSharingSkipsCustomSolveApi) {
+  // A rogue-options router never adopts: it keeps solving for itself and
+  // ends up with its own, different solution.
+  auto emu = make_emulation(topo::make_abilene(), 1.5);
+  te::SolverOptions rogue = emu.config().solver_options;
+  rogue.quantum_divisor = 2.0;
+  emu.mutable_controller(4).set_solve_api(
+      std::make_unique<core::LocalSolver>(rogue));
+  emu.bootstrap();
+  emu.fail_fiber(emu.network().find_link(0, 1));
+  const core::Controller& c = emu.controller(4);
+  EXPECT_FALSE(c.shares_solves());
+  EXPECT_FALSE(c.solution_shareable());
+  EXPECT_FALSE(c.solve_input().has_value());
+  EXPECT_TRUE(c.last_solution() ==
+              te::Solver(rogue).solve(c.state().view(), c.state().demands()));
+  EXPECT_FALSE(c.last_solution() == emu.controller(0).last_solution());
+  EXPECT_THROW(emu.mutable_controller(4).adopt(
+                   std::make_shared<const te::Solution>(
+                       emu.controller(0).last_solution()),
+                   {}),
+               std::logic_error);
+}
+
+TEST(Emulation, SolveSharingSkipsIncrementalControllers) {
+  topo::Topology topo = topo::make_abilene();
+  traffic::GravityParams gp;
+  gp.target_max_utilization = 0.5;
+  auto tm = traffic::generate_gravity(topo, gp);
+  EmulationConfig cfg;
+  cfg.incremental_te = true;
+  DsdnEmulation emu(topo, std::move(tm), cfg);
+  emu.bootstrap();
+  const topo::LinkId fiber = emu.network().find_link(0, 1);
+  emu.fail_fiber(fiber);
+  std::set<const te::Solution*> distinct;
+  for (topo::NodeId n = 0; n < emu.network().num_nodes(); ++n) {
+    EXPECT_FALSE(emu.controller(n).shares_solves()) << n;
+    distinct.insert(&emu.controller(n).last_solution());
+  }
+  EXPECT_EQ(distinct.size(), emu.network().num_nodes());
+  EXPECT_THROW(emu.mutable_controller(1).adopt(
+                   std::make_shared<const te::Solution>(), {}),
+               std::logic_error);
+  // Turning warm start off makes the next recompute shareable again.
+  emu.set_incremental_te(false);
+  EXPECT_TRUE(emu.controller(1).shares_solves());
+  EXPECT_FALSE(emu.controller(1).solution_shareable());
+  emu.repair_fiber(fiber);
+  EXPECT_EQ(&emu.controller(1).last_solution(),
+            &emu.controller(2).last_solution());
+}
+
+TEST(Emulation, SolveSharingCrashReplacementRejoinsGroup) {
+  auto emu = make_emulation(topo::make_abilene());
+  emu.bootstrap();
+  emu.crash_and_recover(3);
+  EXPECT_EQ(&emu.controller(3).last_solution(),
+            &emu.controller(1).last_solution());
+  EXPECT_TRUE(emu.controller(3).last_solution() ==
+              independent_solve(emu, 3));
+}
+
+TEST(Emulation, SolveSharingKeepsPerRouterProgramming) {
+  // Reference fleet: every controller gets a LocalSolver with the stock
+  // options through set_solve_api, so each one solves for itself as
+  // every controller did before solves were shared.
+  const topo::Topology topo = topo::make_abilene();
+  DsdnEmulation shared = make_emulation(topo);
+  DsdnEmulation alone = make_emulation(topo);
+  for (topo::NodeId n = 0; n < topo.num_nodes(); ++n) {
+    alone.mutable_controller(n).set_solve_api(
+        std::make_unique<core::LocalSolver>(alone.config().solver_options));
+  }
+  const topo::LinkId a = topo.find_link(0, 1);
+  const topo::LinkId b = topo.find_link(4, 5);
+  for (DsdnEmulation* emu : {&shared, &alone}) {
+    emu->bootstrap();
+    emu->fail_fiber(a);
+    emu->flap_fiber(b);
+    emu->degrade_fiber(b, 40.0);
+    emu->repair_fiber(a);
+    emu->scale_demands(1.5, 2);
+  }
+  for (topo::NodeId n = 0; n < topo.num_nodes(); ++n) {
+    const core::Controller& x = shared.controller(n);
+    const core::Controller& y = alone.controller(n);
+    EXPECT_EQ(x.recomputes(), y.recomputes()) << n;
+    const auto& ex = x.encap_totals();
+    const auto& ey = y.encap_totals();
+    EXPECT_EQ(ex.routes_installed, ey.routes_installed) << n;
+    EXPECT_EQ(ex.routes_too_deep, ey.routes_too_deep) << n;
+    EXPECT_EQ(ex.sr_routes_installed, ey.sr_routes_installed) << n;
+    EXPECT_EQ(ex.install_retries, ey.install_retries) << n;
+    EXPECT_EQ(ex.routes_gave_up, ey.routes_gave_up) << n;
+    EXPECT_EQ(ex.retry_time_s, ey.retry_time_s) << n;
+    EXPECT_TRUE(x.last_solution() == y.last_solution()) << n;
+    const auto& tx = x.dataplane().ingress.encap_table();
+    const auto& ty = y.dataplane().ingress.encap_table();
+    ASSERT_EQ(tx.size(), ty.size()) << n;
+    for (auto ix = tx.begin(), iy = ty.begin(); ix != tx.end(); ++ix, ++iy) {
+      ASSERT_EQ(ix->first, iy->first) << n;
+      ASSERT_EQ(ix->second.routes.size(), iy->second.routes.size()) << n;
+      for (std::size_t k = 0; k < ix->second.routes.size(); ++k) {
+        EXPECT_EQ(ix->second.routes[k].stack.labels(),
+                  iy->second.routes[k].stack.labels()) << n;
+        EXPECT_EQ(ix->second.routes[k].weight, iy->second.routes[k].weight)
+            << n;
+      }
+    }
+  }
+}
+
+TEST(Emulation, SolveSharingAdoptedSolutionOutlivesSolverRecompute) {
+  auto emu = make_emulation(topo::make_abilene());
+  emu.bootstrap();
+  const te::Solution* held = &emu.controller(5).last_solution();
+  const te::Solution before = *held;
+  // The solving router re-solves alone on a view with one demand doubled.
+  core::NodeStateUpdate nsu = *emu.controller(0).state().latest(2);
+  ++nsu.seq;
+  nsu.demands.at(0).rate_gbps *= 2.0;
+  core::Controller& solver = emu.mutable_controller(0);
+  solver.handle_nsu(nsu, topo::kInvalidLink);
+  solver.recompute();
+  EXPECT_FALSE(solver.last_solution() == before);
+  EXPECT_EQ(&emu.controller(5).last_solution(), held);
+  EXPECT_TRUE(*held == before);
 }
 
 TEST(Emulation, CrashRecoveryRejoinsNetwork) {
