@@ -2,12 +2,17 @@
 // The paper argues sharding is orthogonal to dSDN and would contain data
 // plane failures to one shard. We quantify: the same base network and
 // demand set run (a) as one dSDN plane and (b) as K independent planes
-// with striped capacity; for each fiber cut we measure the *blast
-// fraction* -- what share of all flows could even be affected -- and the
-// control-plane work (NSU deliveries) triggered by the event.
+// (hier::PlaneRuntime: striped capacity, HRW flow placement); for each
+// fiber cut we measure the *blast fraction* -- what share of all flows
+// could even be affected -- and the control-plane work (NSU deliveries)
+// triggered by the event.
+//
+// Exits 1 when containment breaks: an event changes messages_delivered()
+// on a plane other than the victim, or (K > 1) exposes >= 1/K + 5% of
+// the flows.
 
 #include "bench_common.hpp"
-#include "shard/sharded_wan.hpp"
+#include "hier/plane_runtime.hpp"
 #include "sim/convergence.hpp"
 
 using namespace dsdn;
@@ -29,13 +34,18 @@ int main() {
   const auto fibers = sim::pick_failure_fibers(base, 4, 0x5A4D);
   run.out().param("failure_events", fibers.size());
   metrics::EmpiricalDistribution exposed_by_k;
+  bool contained = true;
 
   std::printf("%8s %16s %18s %20s\n", "planes", "flows exposed",
               "NSU msgs/event", "planes disturbed");
   for (const std::size_t k : {std::size_t{1}, std::size_t{2},
                               std::size_t{4}}) {
-    shard::ShardedWan wan(base, tm, k);
+    hier::PlaneRuntimeConfig config;
+    config.planes = k;
+    config.fib_cores = 0;  // no packets are sent; skip FIB snapshots
+    hier::PlaneRuntime wan(base, tm, config);
     wan.bootstrap();
+    const double bound = 1.0 / static_cast<double>(k) + 0.05;
 
     double exposed_total = 0;
     std::size_t msgs_total = 0;
@@ -55,10 +65,24 @@ int main() {
             wan.plane(p).messages_delivered() - before[p];
         msgs += delta;
         if (delta > 0) ++disturbed;
+        if (delta > 0 && p != victim) {
+          std::printf("  [FAIL] K=%zu fiber %u: cut in plane %zu delivered "
+                      "%zu NSUs in plane %zu\n",
+                      k, static_cast<unsigned>(fiber), victim, delta, p);
+          contained = false;
+        }
       }
-      exposed_total += static_cast<double>(
-                           wan.plane_demands(victim).size()) /
-                       static_cast<double>(tm.size());
+      const double exposed = static_cast<double>(
+                                 wan.plane_demands(victim).size()) /
+                             static_cast<double>(tm.size());
+      if (k > 1 && exposed >= bound) {
+        std::printf("  [FAIL] K=%zu fiber %u: plane %zu exposes %.1f%% of "
+                    "flows >= bound %.1f%%\n",
+                    k, static_cast<unsigned>(fiber), victim, 100.0 * exposed,
+                    100.0 * bound);
+        contained = false;
+      }
+      exposed_total += exposed;
       msgs_total += msgs;
       disturbed_total += disturbed;
       wan.repair_fiber_in_plane(victim, fiber);
@@ -82,9 +106,10 @@ int main() {
   }
   run.out().series("flows_exposed_fraction_by_k", exposed_by_k);
 
-  std::printf("\nshape check: with K planes only ~1/K of flows are even "
-              "exposed to a fiber cut, and exactly one plane's control "
-              "plane does any reconvergence work -- the EBB-style "
-              "containment the paper projects for sharded dSDN.\n");
-  return 0;
+  std::printf("\n%s: with K planes only ~1/K of flows are even "
+              "exposed to a fiber cut (< 1/K + 5%% per event), and no plane "
+              "but the victim does any reconvergence work -- the EBB-style "
+              "containment the paper projects for sharded dSDN.\n",
+              contained ? "PASS" : "FAIL");
+  return contained ? 0 : 1;
 }

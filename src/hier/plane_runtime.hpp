@@ -1,9 +1,13 @@
 #pragma once
 
-// First-class sharded dSDN runtime (§6 + ROADMAP item 1): K parallel
-// planes, each a full dSDN instance (flooding, StateDbs, TE, FIBs),
-// running concurrently on the shared te::ThreadPool, with cross-plane
-// demand placement and rebalancing when a plane dies.
+// First-class sharded dSDN runtime (§6): the paper observes that EBB's
+// sharding principle is orthogonal to dSDN -- "dSDN could run on a
+// horizontally sharded network (akin to EBB), thus containing data plane
+// failures to a single shard." K parallel planes share the node set but
+// each has its own striped fibers, and each is a full dSDN instance
+// (flooding, StateDbs, TE, FIBs) running concurrently on the shared
+// te::ThreadPool, with cross-plane demand placement and rebalancing when
+// a plane dies.
 //
 // Placement is rendezvous (HRW) hashing over the *live* plane set: each
 // flow key scores every plane and picks the argmax. With all planes
@@ -25,7 +29,6 @@
 #include <memory>
 #include <vector>
 
-#include "shard/sharded_wan.hpp"
 #include "sim/emulation.hpp"
 #include "sim/packet_score.hpp"
 
@@ -34,6 +37,13 @@ class ThreadPool;
 }
 
 namespace dsdn::hier {
+
+// Splits a base topology into `k` parallel planes: the node set is
+// shared; every base duplex fiber appears once per plane with 1/k of the
+// base capacity (EBB-style striping). Returns one topology per plane;
+// link ids are plane-local.
+std::vector<topo::Topology> make_planes(const topo::Topology& base,
+                                        std::size_t k);
 
 // Rendezvous hash: the live plane with the highest per-flow score.
 // `alive[p] != 0` marks live planes; at least one must be alive.
